@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "acc/conflict_resolver.h"
 #include "acc/engine.h"
@@ -139,7 +140,8 @@ int main() {
 
   std::printf("3. Recovery: volatile state (locks, undo) is gone; the log "
               "and database survive.\n");
-  acc::RecoveryLog log = engine->recovery_log();
+  const std::vector<acc::InFlightTxn> in_flight =
+      engine->recovery_log().FindInFlight();
   engine.reset();  // The crash: the old engine's lock tables evaporate.
 
   acc::Engine fresh(&database, &resolver, config);
@@ -147,7 +149,7 @@ int main() {
   orderproc::RegisterCompensators(&system, &registry);
   acc::ImmediateEnv recovery_env;
   acc::RecoveryReport report =
-      acc::RunRecovery(fresh, log, registry, recovery_env);
+      acc::RunRecovery(fresh, in_flight, registry, recovery_env);
   std::printf("   in-flight=%d compensated=%d missing-compensator=%d\n",
               report.in_flight, report.compensated,
               report.missing_compensator);

@@ -16,6 +16,15 @@ Status FinalAbortStatus(const Status& status) {
   return Status::Aborted(status.message());
 }
 
+WalRecord MakeRecord(LogRecordType type, lock::TxnId txn,
+                 std::vector<WalRedoOp> redo = {}) {
+  WalRecord rec;
+  rec.type = type;
+  rec.txn = txn;
+  rec.redo = std::move(redo);
+  return rec;
+}
+
 }  // namespace
 
 lock::ItemId AssertionDeclItem(lock::AssertionId decl) {
@@ -68,8 +77,16 @@ Engine::Engine(storage::Database* db, const lock::ConflictResolver* resolver,
   lock_manager_.set_listener(this);
   if (!config_.wal.path.empty()) {
     wal_ = Wal::Open(config_.wal, &wal_status_);
-    if (wal_ != nullptr) txn_ids_.FloorTo(wal_->max_recovered_txn());
+    if (wal_ != nullptr) {
+      txn_ids_.FloorTo(wal_->max_recovered_txn());
+      for (const WalRecord& rec : wal_->recovered()) recovery_log_.Apply(rec);
+    }
   }
+}
+
+uint64_t Engine::Log(WalRecord record) {
+  recovery_log_.Apply(record);
+  return wal_ != nullptr ? wal_->Append(std::move(record)) : 0;
 }
 
 void Engine::OnGranted(lock::TxnId txn) {
@@ -120,16 +137,11 @@ ExecResult Engine::Execute(TransactionProgram& program, ExecutionEnv& env,
 
     Status status;
     if (mode == ExecMode::kAccDecomposed) {
-      recovery_log_.Begin(txn, std::string(program.name()));
-      if (wal_ != nullptr) {
-        // Not forced: a begin with no durable end-of-step is invisible to
-        // recovery, so it may ride along with the first step's force.
-        WalRecord rec;
-        rec.type = LogRecordType::kBegin;
-        rec.txn = txn;
-        rec.program = std::string(program.name());
-        wal_->Append(std::move(rec));
-      }
+      // Not forced: a begin with no durable end-of-step is invisible to
+      // recovery, so it may ride along with the first step's force.
+      WalRecord begin = MakeRecord(LogRecordType::kBegin, txn);
+      begin.program = std::string(program.name());
+      Log(std::move(begin));
       status = ctx.AcquireInitialAssertion(program.InitialAssertion());
     }
     if (status.ok()) {
@@ -164,13 +176,7 @@ ExecResult Engine::Execute(TransactionProgram& program, ExecutionEnv& env,
     if (status.ok()) {
       uint64_t commit_lsn = 0;
       if (mode == ExecMode::kAccDecomposed) {
-        recovery_log_.Commit(txn);
-        if (wal_ != nullptr) {
-          WalRecord rec;
-          rec.type = LogRecordType::kCommit;
-          rec.txn = txn;
-          commit_lsn = wal_->Append(std::move(rec));
-        }
+        commit_lsn = Log(MakeRecord(LogRecordType::kCommit, txn));
       } else if (mode == ExecMode::kOptimistic) {
         // The commit record was already appended inside OccCommit's
         // critical section; only the durability wait remains.
@@ -180,11 +186,8 @@ ExecResult Engine::Execute(TransactionProgram& program, ExecutionEnv& env,
         // before this point, so the single commit record carries the whole
         // transaction's redo. Appended before FinishCommit releases the
         // locks, so dependents log behind us.
-        WalRecord rec;
-        rec.type = LogRecordType::kCommit;
-        rec.txn = txn;
-        rec.redo = ctx.TakeRedo();
-        commit_lsn = wal_->Append(std::move(rec));
+        commit_lsn = wal_->Append(
+            MakeRecord(LogRecordType::kCommit, txn, ctx.TakeRedo()));
       }
       ctx.FinishCommit();
       UnbindEnv(txn);
@@ -232,17 +235,14 @@ ExecResult Engine::Execute(TransactionProgram& program, ExecutionEnv& env,
           return result;
         }
         result.compensated = true;
-        recovery_log_.Compensated(txn);
-        if (wal_ != nullptr) {
-          // The compensating step's redo rides inside its kCompensated
-          // record: either both are durable (replay applies the undo and
-          // recovery skips the txn) or neither is (recovery re-runs the
-          // compensation from scratch) — never half.
-          WalRecord rec;
-          rec.type = LogRecordType::kCompensated;
-          rec.txn = txn;
-          rec.redo = ctx.TakeRedo();
-          Status durable = wal_->WaitDurable(wal_->Append(std::move(rec)));
+        // The compensating step's redo rides inside its kCompensated
+        // record: either both are durable (replay applies the undo and
+        // recovery skips the txn) or neither is (recovery re-runs the
+        // compensation from scratch) — never half.
+        const uint64_t lsn =
+            Log(MakeRecord(LogRecordType::kCompensated, txn, ctx.TakeRedo()));
+        if (lsn != 0) {
+          Status durable = wal_->WaitDurable(lsn);
           if (!durable.ok()) {
             // The compensation ran in memory but its record is not durable;
             // report the log failure, not a clean abort.
@@ -255,16 +255,10 @@ ExecResult Engine::Execute(TransactionProgram& program, ExecutionEnv& env,
         record_txn_latency();
         return result;
       }
-      // No step completed: the transaction simply evaporates.
-      recovery_log_.Compensated(txn);
-      if (wal_ != nullptr) {
-        // Unforced bookkeeping: no durable end-of-step exists, so recovery
-        // ignores this txn either way.
-        WalRecord rec;
-        rec.type = LogRecordType::kCompensated;
-        rec.txn = txn;
-        wal_->Append(std::move(rec));
-      }
+      // No step completed: the transaction simply evaporates. Unforced
+      // bookkeeping: no durable end-of-step exists, so recovery ignores
+      // this txn either way.
+      Log(MakeRecord(LogRecordType::kCompensated, txn));
       ctx.ReleaseLocks();
       UnbindEnv(txn);
       if (status.code() == StatusCode::kDeadlock &&
@@ -323,17 +317,11 @@ Status Engine::ExecuteCompensation(
     // restart.
     const lock::TxnId logged =
         logged_txn != lock::kInvalidTxn ? logged_txn : txn;
-    recovery_log_.Compensated(logged);
-    if (wal_ != nullptr) {
-      WalRecord rec;
-      rec.type = LogRecordType::kCompensated;
-      rec.txn = logged;
-      rec.redo = ctx.TakeRedo();
-      Status durable = wal_->WaitDurable(wal_->Append(std::move(rec)));
-      // A non-durable compensated record fails the recovery attempt (the
-      // next restart will re-run this compensation from scratch).
-      if (!durable.ok()) status = durable;
-    }
+    const uint64_t lsn =
+        Log(MakeRecord(LogRecordType::kCompensated, logged, ctx.TakeRedo()));
+    // A non-durable compensated record fails the recovery attempt (the next
+    // restart will re-run this compensation from scratch).
+    if (lsn != 0) status = wal_->WaitDurable(lsn);
   }
   ctx.ReleaseLocks();
   UnbindEnv(txn);

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "acc/program.h"
-#include "acc/recovery_log.h"
 #include "acc/spec.h"
 #include "acc/wal.h"
 #include "cc/occ.h"
@@ -106,12 +105,14 @@ struct EngineConfig {
   // simulation — and is exactly the historical single-atomic behaviour; the
   // real-thread runtime and the server default to a larger block.
   uint32_t txn_id_block = 1;
-  // Durable write-ahead log. An empty path (the default) keeps the
-  // historical in-memory RecoveryLog only — the simulation always runs this
-  // way, so sim results stay byte-identical. With a path set, the engine
-  // opens (or recovers) the WAL in its constructor; check wal_status()
-  // before executing. Transaction ids are floored past the largest id in
-  // the recovered log so a restarted process never reuses a logged id.
+  // Durable write-ahead log. An empty path (the default) keeps only the
+  // in-memory in-flight table (Engine::recovery_log) — the simulation
+  // always runs this way, so sim results stay byte-identical. With a path
+  // set, the engine opens (or recovers) the WAL in its constructor and
+  // applies the recovered records to the in-flight table; check
+  // wal_status() before executing. Transaction ids are floored past the
+  // largest id in the recovered log so a restarted process never reuses a
+  // logged id.
   Wal::Options wal;
 };
 
@@ -325,6 +326,8 @@ class Engine : public lock::LockManager::Listener {
 
   storage::Database& db() { return *db_; }
   lock::LockManager& lock_manager() { return lock_manager_; }
+  // ACC transactions in flight: fed by every begin, end-of-step, commit
+  // and compensated record the engine logs (and by the recovered WAL).
   RecoveryLog& recovery_log() { return recovery_log_; }
   // Backend state for the src/cc executors (kOptimistic / kMultiVersion).
   cc::OccVersionTable& occ_versions() { return occ_versions_; }
@@ -385,6 +388,11 @@ class Engine : public lock::LockManager::Listener {
   friend class TxnContext;
 
   lock::TxnId NextTxnId() { return txn_ids_.Next(); }
+
+  // The one log entry point for ACC lifecycle records: applies `record` to
+  // the in-flight table, then appends it to the WAL when one is attached.
+  // Returns the record's LSN, or 0 without a WAL.
+  uint64_t Log(WalRecord record);
 
   storage::Database* db_;
   EngineConfig config_;

@@ -15,11 +15,12 @@ const Compensator* CompensatorRegistry::Find(
   return it == compensators_.end() ? nullptr : &it->second;
 }
 
-RecoveryReport RunRecovery(Engine& engine, const RecoveryLog& log,
+RecoveryReport RunRecovery(Engine& engine,
+                           const std::vector<InFlightTxn>& in_flight,
                            const CompensatorRegistry& registry,
                            ExecutionEnv& env) {
   RecoveryReport report;
-  for (const InFlightTxn& txn : log.FindInFlight()) {
+  for (const InFlightTxn& txn : in_flight) {
     ++report.in_flight;
     const Compensator* compensator = registry.Find(txn.program);
     if (compensator == nullptr) {

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "acc/engine.h"
-#include "acc/recovery_log.h"
 
 namespace accdb::acc {
 
@@ -53,8 +52,11 @@ struct RecoveryReport {
 };
 
 // Runs recovery against `engine` (a fresh post-crash engine over the
-// surviving database) using the pre-crash `log`.
-RecoveryReport RunRecovery(Engine& engine, const RecoveryLog& log,
+// surviving database), compensating `in_flight` — the pre-crash engine's
+// RecoveryLog::FindInFlight(), or the recovered engine's own after it
+// reopened the WAL.
+RecoveryReport RunRecovery(Engine& engine,
+                           const std::vector<InFlightTxn>& in_flight,
                            const CompensatorRegistry& registry,
                            ExecutionEnv& env);
 

@@ -1,5 +1,6 @@
 #include "acc/wal.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cstring>
@@ -462,25 +463,45 @@ Status ReplayWal(storage::Database& db,
   return Status::Ok();
 }
 
-RecoveryLog RebuildRecoveryLog(const std::vector<WalRecord>& records) {
-  RecoveryLog log;
-  for (const WalRecord& record : records) {
-    switch (record.type) {
-      case LogRecordType::kBegin:
-        log.Begin(record.txn, record.program);
-        break;
-      case LogRecordType::kEndOfStep:
-        log.EndOfStep(record.txn, record.step_index, record.work_area);
-        break;
-      case LogRecordType::kCommit:
-        log.Commit(record.txn);
-        break;
-      case LogRecordType::kCompensated:
-        log.Compensated(record.txn);
-        break;
+void RecoveryLog::Apply(const WalRecord& record) {
+  std::lock_guard<std::mutex> guard(mu_);
+  switch (record.type) {
+    case LogRecordType::kBegin:
+      active_[record.txn] = Entry{next_begin_order_++, record.program, 0, {}};
+      break;
+    case LogRecordType::kEndOfStep: {
+      auto it = active_.find(record.txn);
+      if (it == active_.end()) break;
+      it->second.completed_steps =
+          std::max(it->second.completed_steps, record.step_index);
+      it->second.work_area = record.work_area;
+      break;
+    }
+    case LogRecordType::kCommit:
+    case LogRecordType::kCompensated:
+      active_.erase(record.txn);
+      break;
+  }
+}
+
+std::vector<InFlightTxn> RecoveryLog::FindInFlight() const {
+  std::vector<std::pair<uint64_t, InFlightTxn>> pending;
+  {
+    std::lock_guard<std::mutex> guard(mu_);
+    for (const auto& [txn, entry] : active_) {
+      if (entry.completed_steps == 0) continue;
+      pending.emplace_back(entry.begin_order,
+                           InFlightTxn{txn, entry.program,
+                                       entry.completed_steps,
+                                       entry.work_area});
     }
   }
-  return log;
+  std::sort(pending.begin(), pending.end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+  std::vector<InFlightTxn> out;
+  out.reserve(pending.size());
+  for (auto& [order, txn] : pending) out.push_back(std::move(txn));
+  return out;
 }
 
 }  // namespace accdb::acc

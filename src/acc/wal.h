@@ -31,9 +31,10 @@
 // Redo: each end-of-step (and compensated, and 2PL commit) record carries
 // the physical after-images of the step's writes. Recovery rebuilds the
 // database by reloading the deterministic initial state and replaying redo
-// in LSN order, then compensates in-flight transactions (§3.4). A record
-// is the atom: a compensation whose record is torn never applied any redo,
-// so re-running it from scratch is exact.
+// in LSN order, then compensates in-flight transactions (§3.4), which the
+// engine finds in RecoveryLog (below), the log's in-memory view of them. A
+// record is the atom: a compensation whose record is torn never applied
+// any redo, so re-running it from scratch is exact.
 
 #ifndef ACCDB_ACC_WAL_H_
 #define ACCDB_ACC_WAL_H_
@@ -44,15 +45,23 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "acc/recovery_log.h"
 #include "common/record_file.h"
 #include "common/status.h"
+#include "lock/types.h"
 #include "storage/database.h"
 
 namespace accdb::acc {
+
+enum class LogRecordType : uint8_t {
+  kBegin,
+  kEndOfStep,
+  kCommit,
+  kCompensated,
+};
 
 // One physical write to replay at recovery. Inserts carry the full row and
 // its assigned RowId (replay re-inserts under the same id, so later records
@@ -187,9 +196,50 @@ Status ApplyWalRedo(storage::Database& db, const WalRecord& record);
 // Replays every record's redo in order (the recovery redo pass).
 Status ReplayWal(storage::Database& db, const std::vector<WalRecord>& records);
 
-// Rebuilds the in-memory recovery log view (begin / end-of-step / commit /
-// compensated) from scanned WAL records, for RecoveryLog::FindInFlight.
-RecoveryLog RebuildRecoveryLog(const std::vector<WalRecord>& records);
+// A transaction that needs compensation after a crash.
+struct InFlightTxn {
+  lock::TxnId txn;
+  std::string program;
+  int completed_steps;
+  std::string work_area;  // From the latest end-of-step record.
+};
+
+// The in-flight view of the log: one entry per ACC transaction that has
+// begun and neither committed nor compensated. Every ACC lifecycle record
+// passes through Apply — live records as the engine logs them, recovered
+// records as the engine reopens its WAL — so memory is bounded by the
+// number of transactions in flight, not by the length of the log. Apply is
+// latched so real-thread workers can log concurrently.
+class RecoveryLog {
+ public:
+  // kBegin inserts an entry; kEndOfStep records the step count and work
+  // area; kCommit and kCompensated erase it. Records naming a transaction
+  // with no entry (a non-ACC commit, a compensation logged under a crashed
+  // process's id) change nothing.
+  void Apply(const WalRecord& record);
+
+  // ACC transactions begun and not yet finished.
+  size_t size() const {
+    std::lock_guard<std::mutex> guard(mu_);
+    return active_.size();
+  }
+
+  // Transactions with at least one completed step, most recent begin first
+  // — the order recovery compensates them in.
+  std::vector<InFlightTxn> FindInFlight() const;
+
+ private:
+  struct Entry {
+    uint64_t begin_order = 0;
+    std::string program;
+    int completed_steps = 0;
+    std::string work_area;
+  };
+
+  mutable std::mutex mu_;
+  uint64_t next_begin_order_ = 0;
+  std::unordered_map<lock::TxnId, Entry> active_;
+};
 
 }  // namespace accdb::acc
 

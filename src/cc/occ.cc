@@ -47,6 +47,13 @@ void OccBuffer::RecordRead(const lock::ItemId& item) {
   reads_.emplace(item, versions_->Version(item));
 }
 
+bool OccBuffer::ReadSetValid() const {
+  for (const auto& [item, version] : reads_) {
+    if (versions_->Version(item) != version) return false;
+  }
+  return true;
+}
+
 const OccBuffer::Write* OccBuffer::FindWrite(const lock::ItemId& item) const {
   auto it = writes_.find(item);
   return it == writes_.end() ? nullptr : &it->second;
@@ -303,10 +310,16 @@ Result<storage::RowId> OccBuffer::Insert(storage::Table& table,
     return Status::AlreadyExists(table.name() + " duplicate key");
   }
   // Visible committed duplicate? (An early, advisory check — commit-time
-  // validation re-checks absence authoritatively.)
+  // validation re-checks absence authoritatively.) If a version this
+  // execution read has moved, the key was most likely chosen from stale
+  // reads (new-order's next order id racing a committed new-order): the
+  // execution is doomed anyway, so restart it instead of failing it.
   if (std::optional<storage::RowId> existing = table.LookupPk(key)) {
     const Write* w = FindWrite(lock::ItemId::Row(table.id(), *existing));
     if (w == nullptr || w->kind != Write::Kind::kDelete) {
+      if (!ReadSetValid()) {
+        return ValidationFailed("occ duplicate insert after stale reads");
+      }
       return Status::AlreadyExists(table.name() + " duplicate key");
     }
   }
@@ -387,10 +400,8 @@ Status OccBuffer::Commit(std::vector<OccAppliedWrite>* applied,
   std::lock_guard<std::mutex> commit(versions_->commit_mutex());
 
   // Backward validation: every observed version must still be current.
-  for (const auto& [item, version] : reads_) {
-    if (versions_->Version(item) != version) {
-      return ValidationFailed("occ read-set validation failed");
-    }
+  if (!ReadSetValid()) {
+    return ValidationFailed("occ read-set validation failed");
   }
   // Every buffered insert's key must (still) be absent — unless the
   // occupying row is one this transaction itself deletes below.

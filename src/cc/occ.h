@@ -140,6 +140,9 @@ class OccBuffer {
 
   // --- Buffered writes ---
 
+  // A key already held by a visible committed row fails with AlreadyExists
+  // while the read set is still valid, and with kDeadlock (a restart) once
+  // it is not.
   Result<storage::RowId> Insert(storage::Table& table, storage::Row row);
   Status Update(storage::Table& table, storage::RowId id,
                 const std::vector<std::pair<int, storage::Value>>& updates);
@@ -182,6 +185,11 @@ class OccBuffer {
   // Records the committed version of `item` the first time it is observed.
   // Must be called BEFORE the row copy is taken (see file comment).
   void RecordRead(const lock::ItemId& item);
+
+  // True while every version in the read set is still current. Commit
+  // calls it under the commit mutex (authoritative); Insert calls it
+  // without (advisory, to tell a stale-read duplicate from a real one).
+  bool ReadSetValid() const;
 
   // The buffered write for a committed row, or nullptr.
   const Write* FindWrite(const lock::ItemId& item) const;

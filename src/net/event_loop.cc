@@ -54,7 +54,8 @@ EventLoop::~EventLoop() = default;
 
 Status EventLoop::UpdateInterest(int fd, bool want_write, int op) {
   epoll_event ev{};
-  ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0);
+  ev.events = EPOLLIN;
+  if (want_write) ev.events |= EPOLLOUT;
   ev.data.fd = fd;
   if (::epoll_ctl(epoll_.get(), op, fd, &ev) < 0) {
     return Status::Internal("epoll_ctl failed");

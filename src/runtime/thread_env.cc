@@ -18,6 +18,7 @@ void ThreadExecutionEnv::PrepareWait(lock::TxnId txn) {
 bool ThreadExecutionEnv::AwaitLock(lock::TxnId txn) {
   std::unique_lock<std::mutex> lk(mu_);
   assert(armed_ && armed_txn_ == txn && "AwaitLock without PrepareWait");
+  (void)txn;
   const double start = Now();
   cv_.wait(lk, [this] { return resolved_; });
   total_lock_wait_ += Now() - start;
@@ -55,6 +56,7 @@ acc::WaitVerdict ThreadExecutionEnv::AwaitLockUntil(lock::TxnId txn,
 void ThreadExecutionEnv::DiscardWait(lock::TxnId txn) {
   std::lock_guard<std::mutex> guard(mu_);
   assert(armed_ && armed_txn_ == txn && "DiscardWait without PrepareWait");
+  (void)txn;
   armed_ = false;
 }
 

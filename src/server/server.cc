@@ -69,13 +69,15 @@ Status AccdbServer::RecoverFromWal() {
   ACCDB_RETURN_IF_ERROR(acc::ReplayWal(system_.database(), wal->recovered()));
 
   // Compensation pass (§3.4): every transaction with durable forward steps
-  // but no commit/compensated record runs its compensating step, which logs
-  // (and forces) a kCompensated record through the engine's live WAL.
-  acc::RecoveryLog log = acc::RebuildRecoveryLog(wal->recovered());
+  // but no commit/compensated record — the engine applied the recovered
+  // records to its in-flight table when it opened the WAL — runs its
+  // compensating step, which logs (and forces) a kCompensated record
+  // through the engine's live WAL.
   acc::CompensatorRegistry registry;
   tpcc::RegisterTpccCompensators(&system_.db(), &registry);
   acc::ImmediateEnv env;
-  recovery_report_ = acc::RunRecovery(engine, log, registry, env);
+  recovery_report_ = acc::RunRecovery(
+      engine, engine.recovery_log().FindInFlight(), registry, env);
   if (!recovery_report_.clean()) {
     return Status::Internal(
         "recovery not clean: " + std::to_string(recovery_report_.failed) +

@@ -227,6 +227,40 @@ TEST_F(CcBackendTest, OccInsertKeyValidationCatchesConcurrentInsert) {
   EXPECT_TRUE(kv_->LookupPk(Key(2)).has_value());
 }
 
+// The new-order race: T picks its insert key from a counter it read, a
+// concurrent transaction bumps that counter and commits the same key, then
+// T inserts it. The duplicate comes from T's stale read, so T restarts
+// (and picks the next key) instead of failing with AlreadyExists.
+TEST_F(CcBackendTest, OccDuplicateInsertAfterStaleReadRestarts) {
+  auto bump_and_insert = [&](TxnContext& c) -> Status {
+    ACCDB_ASSIGN_OR_RETURN(int64_t v, c.ReadVariable(*counter_a_, true));
+    ACCDB_RETURN_IF_ERROR(c.WriteVariable(*counter_a_, v + 1));
+    return c.Insert(*kv_, {Value(v + 1), Value(int64_t{0})}).status();
+  };
+  int attempts = 0;
+  ExecResult result = Run(
+      ExecMode::kOptimistic, env_, /*read_only=*/false,
+      [&](TxnContext& c) -> Status {
+        ++attempts;
+        ACCDB_ASSIGN_OR_RETURN(int64_t v, c.ReadVariable(*counter_a_, true));
+        if (attempts == 1) {
+          ImmediateEnv other_env;
+          ExecResult other = Run(ExecMode::kOptimistic, other_env,
+                                 /*read_only=*/false, bump_and_insert);
+          EXPECT_TRUE(other.status.ok());
+        }
+        ACCDB_RETURN_IF_ERROR(c.WriteVariable(*counter_a_, v + 1));
+        return c.Insert(*kv_, {Value(v + 1), Value(int64_t{1})}).status();
+      });
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_GE(result.txn_restarts, 1);
+  EXPECT_EQ(ReadCounter(counter_a_), 2);
+  ASSERT_TRUE(kv_->LookupPk(Key(1)).has_value());
+  ASSERT_TRUE(kv_->LookupPk(Key(2)).has_value());
+  EXPECT_EQ((*kv_->GetCopy(*kv_->LookupPk(Key(1))))[1].AsInt64(), 0);
+  EXPECT_EQ((*kv_->GetCopy(*kv_->LookupPk(Key(2))))[1].AsInt64(), 1);
+}
+
 // OCC executions never block, so every thread can run on its own
 // ImmediateEnv: pure validate/apply contention on one hot counter.
 TEST_F(CcBackendTest, OccParallelIncrementsLoseNoUpdates) {
@@ -280,10 +314,14 @@ TEST_F(CcBackendTest, DoomedExecutionScansNeverShowDuplicateKeys) {
         // Both a buffered and a committed row now carry key 1.
         ACCDB_ASSIGN_OR_RETURN(auto all, c.ScanPkPrefix(*kv_, Key()));
         EXPECT_EQ(all.size(), 1u);
-        if (!all.empty()) EXPECT_EQ(all[0].second[1].AsInt64(), 100);
+        if (!all.empty()) {
+          EXPECT_EQ(all[0].second[1].AsInt64(), 100);
+        }
         ACCDB_ASSIGN_OR_RETURN(auto min, c.MinPkPrefix(*kv_, Key()));
         EXPECT_TRUE(min.has_value());
-        if (min.has_value()) EXPECT_EQ(min->second[1].AsInt64(), 100);
+        if (min.has_value()) {
+          EXPECT_EQ(min->second[1].AsInt64(), 100);
+        }
         return Status::Ok();  // Insert-key validation must fail.
       });
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();

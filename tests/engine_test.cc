@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -59,8 +61,17 @@ class EngineTest : public ::testing::Test {
   lock::AssertionId assert_between_;
 };
 
-// A two-step program: step 1 increments counter a, step 2 increments
-// counter b; compensation decrements a.
+// A FunctionProgram with a settable compensation work area.
+class WorkAreaProgram : public FunctionProgram {
+ public:
+  using FunctionProgram::FunctionProgram;
+  std::string SerializeWorkArea() const override { return work_area; }
+  std::string work_area;
+};
+
+// A two-step program: step 1 increments counter a (and saves the new value
+// as its work area), step 2 increments counter b; compensation decrements
+// a. Step 2 records what the engine's in-flight table holds meanwhile.
 class TwoStepInc {
  public:
   explicit TwoStepInc(EngineTest* t)
@@ -78,12 +89,16 @@ class TwoStepInc {
         [this](TxnContext& c) -> Status {
           ACCDB_ASSIGN_OR_RETURN(int64_t v,
                                  c.ReadVariable(*test_->counter_a_, true));
+          program_.work_area = "a=" + std::to_string(v + 1);
           return c.WriteVariable(*test_->counter_a_, v + 1);
         }));
     if (abort_between_steps) return Status::Aborted("requested");
     return ctx.RunStep(
         test_->step_inc_, {2}, AssertionInstance{},
         [this](TxnContext& c) -> Status {
+          txn_id = c.txn_id();
+          in_flight_during_step2 =
+              test_->engine_->recovery_log().FindInFlight();
           ACCDB_ASSIGN_OR_RETURN(int64_t v,
                                  c.ReadVariable(*test_->counter_b_, true));
           return c.WriteVariable(*test_->counter_b_, v + 1);
@@ -97,9 +112,11 @@ class TwoStepInc {
     return ctx.WriteVariable(*test_->counter_a_, v - 1);
   }
 
-  FunctionProgram program_;
+  WorkAreaProgram program_;
   EngineTest* test_;
   bool abort_between_steps = false;
+  lock::TxnId txn_id = 0;
+  std::vector<InFlightTxn> in_flight_during_step2;
 };
 
 TEST_F(EngineTest, SerializableCommit) {
@@ -135,6 +152,17 @@ TEST_F(EngineTest, SerializableVoluntaryAbortRollsBackPhysically) {
 }
 
 TEST_F(EngineTest, AccCommitTwoSteps) {
+  // On an engine with a WAL, so the record sequence it writes can be read
+  // back from the log file.
+  const std::string wal_path =
+      ::testing::TempDir() + "accdb_engine_test_two_steps.wal";
+  ::unlink(wal_path.c_str());
+  EngineConfig config;
+  config.charge_acc_overheads = false;
+  config.wal.path = wal_path;
+  engine_ = std::make_unique<Engine>(&db_, &resolver_, config);
+  ASSERT_TRUE(engine_->wal_status().ok()) << engine_->wal_status().ToString();
+
   TwoStepInc txn(this);
   ExecResult result =
       engine_->Execute(txn.program_, env_, ExecMode::kAccDecomposed);
@@ -142,14 +170,60 @@ TEST_F(EngineTest, AccCommitTwoSteps) {
   EXPECT_EQ(result.steps_completed, 2);
   EXPECT_EQ(ReadCounter(counter_a_), 1);
   EXPECT_EQ(ReadCounter(counter_b_), 1);
-  // Recovery log: begin, two end-of-step records, commit.
-  const auto records = engine_->recovery_log().Snapshot();
+  // Inside step 2 the in-flight table showed step 1 complete, with its
+  // work area; after commit it is empty.
+  ASSERT_EQ(txn.in_flight_during_step2.size(), 1u);
+  const InFlightTxn& seen = txn.in_flight_during_step2[0];
+  EXPECT_EQ(seen.txn, txn.txn_id);
+  EXPECT_EQ(seen.program, "two_step");
+  EXPECT_EQ(seen.completed_steps, 1);
+  EXPECT_EQ(seen.work_area, "a=1");
+  EXPECT_TRUE(engine_->recovery_log().FindInFlight().empty());
+  engine_.reset();  // Closes the log file.
+
+  // The log: begin, two end-of-step records, commit.
+  Status status;
+  Wal::Options options;
+  options.path = wal_path;
+  std::unique_ptr<Wal> wal = Wal::Open(options, &status);
+  ASSERT_NE(wal, nullptr) << status.ToString();
+  const std::vector<WalRecord>& records = wal->recovered();
   ASSERT_EQ(records.size(), 4u);
   EXPECT_EQ(records[0].type, LogRecordType::kBegin);
+  EXPECT_EQ(records[0].program, "two_step");
   EXPECT_EQ(records[1].type, LogRecordType::kEndOfStep);
+  EXPECT_EQ(records[1].step_index, 1);
+  EXPECT_EQ(records[1].work_area, "a=1");
   EXPECT_EQ(records[2].type, LogRecordType::kEndOfStep);
+  EXPECT_EQ(records[2].step_index, 2);
   EXPECT_EQ(records[3].type, LogRecordType::kCommit);
-  EXPECT_TRUE(engine_->recovery_log().FindInFlight().empty());
+  for (const WalRecord& rec : records) EXPECT_EQ(rec.txn, txn.txn_id);
+  wal.reset();
+  ::unlink(wal_path.c_str());
+}
+
+TEST_F(EngineTest, AccInFlightTableEmptiesWhenTransactionsFinish) {
+  // Committed, compensated and evaporated transactions all leave the
+  // table: its size is the number of ACC transactions in flight, not the
+  // number of records ever logged.
+  TwoStepInc committed(this);
+  ASSERT_TRUE(engine_->Execute(committed.program_, env_,
+                               ExecMode::kAccDecomposed)
+                  .status.ok());
+  TwoStepInc compensated(this);
+  compensated.abort_between_steps = true;
+  EXPECT_TRUE(engine_->Execute(compensated.program_, env_,
+                               ExecMode::kAccDecomposed)
+                  .compensated);
+  FunctionProgram evaporates("evaporates", [&](TxnContext& ctx) {
+    return ctx.RunStep(step_inc_, {1}, AssertionInstance{},
+                       [](TxnContext&) { return Status::Aborted("no"); });
+  });
+  ExecResult evaporated =
+      engine_->Execute(evaporates, env_, ExecMode::kAccDecomposed);
+  EXPECT_EQ(evaporated.status.code(), StatusCode::kAborted);
+  EXPECT_FALSE(evaporated.compensated);
+  EXPECT_EQ(engine_->recovery_log().size(), 0u);
 }
 
 TEST_F(EngineTest, AccAbortBetweenStepsRunsCompensation) {
@@ -398,7 +472,7 @@ TEST_F(EngineTest, SerializableBlocksUntilCommit) {
         std::string("p") + tag, [=, &trace, this](TxnContext& ctx) -> Status {
           ACCDB_RETURN_IF_ERROR(ctx.RunStep(
               step_inc_, {1}, AssertionInstance{},
-              [=, &trace](TxnContext& c) -> Status {
+              [=, &trace, this](TxnContext& c) -> Status {
                 // Record only after the (possibly blocking) lock is held.
                 ACCDB_ASSIGN_OR_RETURN(int64_t v,
                                        c.ReadVariable(*counter_a_, true));
@@ -407,7 +481,7 @@ TEST_F(EngineTest, SerializableBlocksUntilCommit) {
               }));
           ctx.Compute(pause);
           return ctx.RunStep(step_inc_, {1}, AssertionInstance{},
-                             [=, &trace](TxnContext& c) -> Status {
+                             [=, &trace, this](TxnContext& c) -> Status {
                                ACCDB_ASSIGN_OR_RETURN(
                                    int64_t v,
                                    c.ReadVariable(*counter_a_, true));
@@ -500,7 +574,8 @@ TEST_F(EngineTest, CrashRecoveryCompensatesInFlight) {
   EXPECT_EQ(ReadCounter(counter_a_), 1);
 
   // Crash: volatile state lost, database + log survive.
-  RecoveryLog log = engine_->recovery_log();
+  const std::vector<InFlightTxn> in_flight =
+      engine_->recovery_log().FindInFlight();
   Engine fresh(&db_, &resolver_, EngineConfig{});
   CompensatorRegistry registry;
   Compensator comp;
@@ -511,7 +586,8 @@ TEST_F(EngineTest, CrashRecoveryCompensatesInFlight) {
   };
   registry.Register("two_step", comp);
   ImmediateEnv recovery_env;
-  RecoveryReport report = RunRecovery(fresh, log, registry, recovery_env);
+  RecoveryReport report =
+      RunRecovery(fresh, in_flight, registry, recovery_env);
   EXPECT_EQ(report.in_flight, 1);
   EXPECT_EQ(report.compensated, 1);
   EXPECT_EQ(ReadCounter(counter_a_), 0);

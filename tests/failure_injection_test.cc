@@ -174,7 +174,8 @@ TEST_P(FailureInjectionTest, RecoveryAfterMidFlightCrashes) {
   ASSERT_GT(crashers, 0);
 
   // Crash: discard everything volatile, keep the database and log.
-  acc::RecoveryLog log = engine->recovery_log();
+  const std::vector<acc::InFlightTxn> in_flight =
+      engine->recovery_log().FindInFlight();
   engine.reset();
 
   acc::Engine fresh(&database, &resolver, config);
@@ -182,7 +183,7 @@ TEST_P(FailureInjectionTest, RecoveryAfterMidFlightCrashes) {
   RegisterTpccCompensators(&db, &registry);
   acc::ImmediateEnv recovery_env;
   acc::RecoveryReport report =
-      acc::RunRecovery(fresh, log, registry, recovery_env);
+      acc::RunRecovery(fresh, in_flight, registry, recovery_env);
   EXPECT_GE(report.in_flight, crashers);
   EXPECT_EQ(report.compensated, report.in_flight);
   EXPECT_EQ(report.failed, 0) << report.first_error.ToString();

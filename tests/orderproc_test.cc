@@ -459,14 +459,16 @@ TEST_F(OrderProcTest, CrashRecoveryCompensatesPartialNewOrder) {
   EXPECT_FALSE(sys_.CheckConsistency());
 
   // Crash & recover on a fresh engine over the surviving database.
-  acc::RecoveryLog log = acc_engine_->recovery_log();
+  const std::vector<acc::InFlightTxn> in_flight =
+      acc_engine_->recovery_log().FindInFlight();
   EngineConfig config;
   config.charge_acc_overheads = false;
   Engine fresh(&db_, &acc_resolver_, config);
   acc::CompensatorRegistry registry;
   RegisterCompensators(&sys_, &registry);
   ImmediateEnv recovery_env;
-  acc::RecoveryReport report = RunRecovery(fresh, log, registry, recovery_env);
+  acc::RecoveryReport report =
+      RunRecovery(fresh, in_flight, registry, recovery_env);
   EXPECT_EQ(report.in_flight, 1);
   EXPECT_EQ(report.compensated, 1);
   EXPECT_EQ(StockOf(1), 100);

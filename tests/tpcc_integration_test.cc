@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "acc/conflict_resolver.h"
 #include "acc/engine.h"
@@ -305,7 +306,8 @@ TEST_F(InterleavingTest, CrashRecoveryWithRegisteredCompensators) {
   EXPECT_TRUE(db_.orders->LookupPk(Key(1, 5, o)).has_value());
 
   // Crash and recover.
-  acc::RecoveryLog log = acc_engine_->recovery_log();
+  const std::vector<acc::InFlightTxn> in_flight =
+      acc_engine_->recovery_log().FindInFlight();
   acc::EngineConfig config;
   config.charge_acc_overheads = false;
   acc::Engine fresh(&database_, &acc_resolver_, config);
@@ -313,7 +315,7 @@ TEST_F(InterleavingTest, CrashRecoveryWithRegisteredCompensators) {
   RegisterTpccCompensators(&db_, &registry);
   acc::ImmediateEnv recovery_env;
   acc::RecoveryReport report =
-      acc::RunRecovery(fresh, log, registry, recovery_env);
+      acc::RunRecovery(fresh, in_flight, registry, recovery_env);
   EXPECT_GE(report.in_flight, 1);
   EXPECT_EQ(report.compensated, report.in_flight);
   EXPECT_EQ(report.missing_compensator, 0);

@@ -215,7 +215,8 @@ TEST_P(WalRecoveryTest, CrossShardCrashRecoversFromSurvivingWalOnly) {
   WriteFileBytes(wal_path, surviving_wal);
 
   // Phase 2: a fresh process. Reload the deterministic initial state,
-  // replay the surviving WAL's redo, rebuild the in-flight view, compensate.
+  // replay the surviving WAL's redo, compensate what the engine's in-flight
+  // table (rebuilt from the recovered records as it opened the WAL) holds.
   storage::Database database;
   TpccDb db(&database);
   LoadDatabase(db, scale, seed);
@@ -227,12 +228,13 @@ TEST_P(WalRecoveryTest, CrossShardCrashRecoversFromSurvivingWalOnly) {
   ASSERT_FALSE(wal->recovered().empty());
 
   ASSERT_TRUE(ReplayWal(database, wal->recovered()).ok());
-  acc::RecoveryLog log = acc::RebuildRecoveryLog(wal->recovered());
+  const std::vector<acc::InFlightTxn> in_flight =
+      engine->recovery_log().FindInFlight();
   acc::CompensatorRegistry registry;
   RegisterTpccCompensators(&db, &registry);
   acc::ImmediateEnv recovery_env;
   acc::RecoveryReport report =
-      acc::RunRecovery(*engine, log, registry, recovery_env);
+      acc::RunRecovery(*engine, in_flight, registry, recovery_env);
   EXPECT_GE(report.in_flight, crashers);
   EXPECT_EQ(report.compensated, report.in_flight);
   EXPECT_EQ(report.failed, 0) << report.first_error.ToString();
@@ -253,7 +255,8 @@ TEST_P(WalRecoveryTest, CrossShardCrashRecoversFromSurvivingWalOnly) {
   reopen_options.path = wal_path;
   std::unique_ptr<acc::Wal> reopened = acc::Wal::Open(reopen_options, &status);
   ASSERT_NE(reopened, nullptr) << status.ToString();
-  acc::RecoveryLog after = acc::RebuildRecoveryLog(reopened->recovered());
+  acc::RecoveryLog after;
+  for (const acc::WalRecord& rec : reopened->recovered()) after.Apply(rec);
   EXPECT_TRUE(after.FindInFlight().empty());
 
   ::unlink(wal_path.c_str());
